@@ -99,12 +99,17 @@
 //	results, err := eng.NetworkSweep(ctx, topo, bers, opts)
 //	for r := range eng.NetworkSweepStream(ctx, topo, bers, opts) { ... }
 //
-// Every link's (scheme, target BER) solves fan across the Engine's worker
-// pool, keyed in the LRU by the link's configuration fingerprint — links
-// sharing a compiled plan (every bus link, every repeated mesh position)
-// reuse each other's solves. Scheme selection per link follows the runtime
-// manager's rule exactly, and a 1-waveguide bus over the paper topology
-// reproduces the single-link sweep bit for bit. Traffic matrices come from
+// There is one evaluation path for a network candidate: a NoCSession
+// evaluation on a session pooled by the Engine. Network is one such
+// evaluation; NetworkSweep and NetworkSweepStream validate the request up
+// front and then run one candidate per target BER as a BER-ordered
+// NetworkBatch, so the grid points fan across the worker pool (a single
+// candidate's cells are solved on one goroutine). Every (link, scheme)
+// solve is keyed in the LRU by the link's configuration fingerprint —
+// links sharing a compiled plan (every bus link, every repeated mesh
+// position) reuse each other's solves. Scheme selection per link follows
+// the runtime manager's rule exactly, and a 1-waveguide bus over the paper
+// topology reproduces the single-link sweep bit for bit. Traffic matrices come from
 // the netsim patterns (Pattern.Matrix) or recorded traces (Trace.Matrix);
 // the aggregation derives per-link utilization, saturation throughput
 // (bisection over the injection rate), M/D/1 latency percentiles and the
@@ -117,8 +122,8 @@
 // same routing table, one MWSR server per link serializing transfers at
 // the link's decided capacity, with token arbitration and waveguide
 // flight charged per hop as pipeline latency. The per-link scheme/DAC
-// decisions ARE noc.Decide's output solved through the shared LRU, so
-// they are bit-identical to the analytic Result's; the simulation core is
+// decisions come from the same session evaluation Network runs, so they
+// are bit-identical to the analytic Result's; the simulation core is
 // sequential and seeded, so a fixed seed reproduces every count and
 // percentile across runs and across Worker counts.
 //
@@ -139,17 +144,20 @@
 // # The autotuner fast path
 //
 // Design-space search evaluates long chains of neighboring candidates —
-// each step mutates one knob and keeps the rest. Three layers make that
-// workload cheap. A NoCEvalSession owns every buffer the noc-layer
+// each step mutates one knob and keeps the rest. The session evaluator
+// every network entry point runs on makes that workload cheap in three
+// layers. A NoCEvalSession owns every buffer the noc-layer
 // Decide/Aggregate pass needs, so a warmed session evaluation allocates
 // nothing (pinned by an allocation-regression test and a CI gate). A
 // NoCSession (Engine.NewNetworkSession) adds incremental re-evaluation: it
 // diffs each candidate's links against the previous candidate by
 // configuration fingerprint and re-solves only changed (link, scheme, BER)
 // cells, copying the rest forward without touching the cache
-// (CacheStats.SessionReuses counts them) — bit-identical to a cold
+// (CacheStats.SessionReuses counts them) — bit-identical to a from-scratch
 // evaluation by construction, property-tested across topology kinds and
-// mutation sequences. Engine.NetworkBatch / NetworkBatchStream fan a
+// mutation sequences. A one-shot Engine.Network drops its pooled session's
+// previous candidate first, so it never counts as reuse.
+// Engine.NetworkBatch / NetworkBatchStream fan a
 // []NoCCandidate population over the worker pool in contiguous chunks so
 // each worker's session still sees neighbors, returning deep-copied
 // results in population order, deterministic across worker counts:
@@ -161,9 +169,9 @@
 //	results, err := eng.NetworkBatch(ctx, cands)
 //
 // The tracked noc_batch metric in BENCH_cold_sweep.json pins the speedup
-// (~5.8x over per-candidate cold evaluation on a 64-candidate
-// mutate-one-knob chain); POST /v1/noc/batch serves the same path over
-// NDJSON through the daemon.
+// (~9x over per-candidate cold evaluation on a 64-candidate
+// mutate-one-knob chain, 2 CPUs); POST /v1/noc/batch serves the same path
+// over NDJSON through the daemon.
 //
 // # Autotuner campaigns
 //

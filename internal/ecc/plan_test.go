@@ -226,3 +226,43 @@ func BenchmarkRequiredRawBERReference(b *testing.B) {
 		}
 	}
 }
+
+// TestPlanRequiredRawBERNearRootStall is the regression for a solver
+// stall: at this H(7,4) target the guarded Newton steps near the root are
+// ≈1.7e-13 in ln p — longer than the tolerance — and all land on one side,
+// so the bracket never shrank and the inversion failed to converge.
+func TestPlanRequiredRawBERNearRootStall(t *testing.T) {
+	c, ok := SchemeByName("H(7,4)")
+	if !ok {
+		t.Fatal("H(7,4) not registered")
+	}
+	const target = 1.1748975549395304e-12
+	p, err := PlanFor(c).RequiredRawBER(target)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := PlanFor(c).PostDecodeBER(p); math.Abs(got-target) > 1e-9*target {
+		t.Fatalf("PostDecodeBER(%g) = %g, want %g", p, got, target)
+	}
+}
+
+// TestPlanRequiredRawBERScan inverts every extended scheme over 2001
+// log-spaced targets across the deep-BER range the near-root stall was
+// found in: every inversion must succeed and round-trip to its target.
+func TestPlanRequiredRawBERScan(t *testing.T) {
+	const n = 2001
+	lo, hi := math.Log(1e-12), math.Log(1e-7)
+	for _, c := range ExtendedSchemes() {
+		plan := PlanFor(c)
+		for i := 0; i < n; i++ {
+			target := math.Exp(lo + (hi-lo)*float64(i)/(n-1))
+			p, err := plan.RequiredRawBER(target)
+			if err != nil {
+				t.Fatalf("%s at %v: %v", c.Name(), target, err)
+			}
+			if got := plan.PostDecodeBER(p); math.Abs(got-target) > 1e-9*target {
+				t.Fatalf("%s at %v: PostDecodeBER(%g) = %v", c.Name(), target, p, got)
+			}
+		}
+	}
+}

@@ -53,9 +53,10 @@ type Engine struct {
 	// that avoided both the pipeline and the memo cache entirely.
 	sessionReuses atomic.Uint64
 
-	// sessions pools NetworkSessions for NetworkBatch workers, keeping
+	// sessions pools the NetworkSessions every network entry point runs
+	// on (Network, NetworkSweep, NetworkBatch, SimulateNetwork), keeping
 	// their grown buffers and previous-candidate lattices warm across
-	// batches.
+	// calls.
 	sessions sync.Pool
 
 	// Network-evaluation registries: per-link configurations compiled once

@@ -12,6 +12,9 @@ type flightCall struct {
 	done chan struct{}
 	ev   core.Evaluation
 	err  error
+	// dups counts the followers attached to the flight, under the group
+	// mutex (singleflight's dups).
+	dups int
 }
 
 // flightGroup coalesces concurrent cold solves of one cache key
@@ -31,6 +34,7 @@ type flightGroup struct {
 func (g *flightGroup) do(k cacheKey, fn func() (core.Evaluation, error)) (ev core.Evaluation, shared bool, err error) {
 	g.mu.Lock()
 	if c, ok := g.m[k]; ok {
+		c.dups++
 		g.mu.Unlock()
 		<-c.done
 		return c.ev, true, c.err

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -47,12 +48,10 @@ func TestFlightGroupCoalesces(t *testing.T) {
 
 	// Every follower joins while the leader's fn is blocked, so each MUST
 	// attach to the open flight rather than start its own.
-	joined := make(chan struct{}, followers)
 	for i := 0; i < followers; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			joined <- struct{}{}
 			ev, shared, err := g.do(key, func() (core.Evaluation, error) {
 				t.Error("follower executed fn")
 				return core.Evaluation{}, nil
@@ -64,8 +63,13 @@ func TestFlightGroupCoalesces(t *testing.T) {
 			shareds[i] = shared
 		}(i)
 	}
-	for i := 0; i < followers; i++ {
-		<-joined
+	// Release the leader only once every follower is attached to the open
+	// flight (counted under the group mutex), so none can miss it.
+	for attached := 0; attached < followers; {
+		runtime.Gosched()
+		g.mu.Lock()
+		attached = g.m[key].dups
+		g.mu.Unlock()
 	}
 	close(release)
 	wg.Wait()
@@ -75,10 +79,6 @@ func TestFlightGroupCoalesces(t *testing.T) {
 	}
 	for i := range results {
 		if !shareds[i] {
-			// A follower that enqueued before release can only have been
-			// served by the leader's flight — but the goroutine may not
-			// have reached g.do before the flight closed; those start a
-			// fresh flight whose fn would have failed the test above.
 			t.Errorf("follower %d did not share the leader's solve", i)
 		}
 		if !reflect.DeepEqual(results[i], want) {

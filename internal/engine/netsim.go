@@ -23,8 +23,8 @@ type NetworkSimOptions struct {
 	Traffic noc.Matrix
 	// InjectionRateBitsPerSec is the offered payload per active tile;
 	// 0 simulates at half the analytic saturation rate — the same default
-	// operating point noc.Aggregate evaluates, so analytic and simulated
-	// results are directly comparable out of the box.
+	// operating point the analytic aggregation evaluates, so analytic and
+	// simulated results are directly comparable out of the box.
 	InjectionRateBitsPerSec float64
 	// MessageBits is the payload per message (0 = 4 KiB).
 	MessageBits int
@@ -38,14 +38,14 @@ type NetworkSimOptions struct {
 }
 
 // SimulateNetwork runs the network-scale discrete-event simulator over a
-// topology: the (link × scheme) lattice at the target BER is solved across
-// the engine's worker pool (every solve keyed in the shared LRU by the
-// link's configuration fingerprint, exactly like Network/NetworkSweep),
-// the per-link winners are picked with noc.Decide — so the simulated
-// scheme/DAC decisions are bit-identical to the analytic evaluator's —
-// and the event-driven simulation replays a seeded synthetic workload over
-// the routes. The simulation core is sequential, so results for a fixed
-// seed are bit-identical across engine worker counts.
+// topology. The per-link scheme/DAC decisions and the default injection
+// rate come from one NetworkSession evaluation at the target BER — the
+// same path as Network, with every solve keyed in the shared LRU by the
+// link's configuration fingerprint — so the simulated decisions are
+// bit-identical to the analytic evaluator's. The event-driven simulation
+// then replays a seeded synthetic workload over the routes. The simulation
+// core is sequential, so results for a fixed seed are bit-identical across
+// engine worker counts.
 //
 // A topology with an infeasible link cannot be simulated and returns an
 // error wrapping ErrInfeasible (unlike the analytic Network, which reports
@@ -54,59 +54,49 @@ func (e *Engine) SimulateNetwork(ctx context.Context, cfg noc.Config, opts Netwo
 	if err := validateBER(opts.TargetBER); err != nil {
 		return netsim.NetResults{}, err
 	}
-	g, err := e.prepareNetwork(cfg, []float64{opts.TargetBER})
+	net, err := e.BuildNetwork(cfg)
 	if err != nil {
 		return netsim.NetResults{}, err
 	}
 	if opts.Traffic != nil {
-		// Fail fast, before the lattice solves: the simulator re-validates,
-		// but by then the workers have already run.
-		if err := opts.Traffic.Validate(g.net.Tiles()); err != nil {
+		// Fail fast, before the link solves: the simulator re-validates,
+		// but by then every link has been solved.
+		if err := opts.Traffic.Validate(net.Tiles()); err != nil {
 			return netsim.NetResults{}, fmt.Errorf("%w: %v", ErrInvalidInput, err)
 		}
 	}
-	evals := g.newEvalLattice()
-	if err := e.forEach(ctx, g.pointsPerBER(), func(ctx context.Context, i int) error {
-		return e.solvePoint(ctx, g, evals, i)
-	}); err != nil {
-		return netsim.NetResults{}, err
-	}
 
-	evalOpts := noc.EvalOptions{
+	// The decisions alias the session, so it is held until the simulator
+	// (which copies them into its results) returns.
+	sess := e.acquireSession()
+	defer e.releaseSession(sess)
+	sess.invalidate()
+	ana, err := sess.Evaluate(ctx, NetworkCandidate{Topology: cfg, Opts: noc.EvalOptions{
 		TargetBER:               opts.TargetBER,
 		Objective:               opts.Objective,
 		Traffic:                 opts.Traffic,
 		InjectionRateBitsPerSec: opts.InjectionRateBitsPerSec,
 		MessageBits:             opts.MessageBits,
 		DAC:                     opts.DAC,
-	}
-	decisions, err := noc.Decide(g.net, evals[0], evalOpts)
+	}})
 	if err != nil {
-		return netsim.NetResults{}, fmt.Errorf("%w: %v", ErrInvalidInput, err)
+		return netsim.NetResults{}, err
 	}
-	for i := range decisions {
-		if !decisions[i].Feasible {
-			return netsim.NetResults{}, fmt.Errorf("%w: link %d: %s", ErrInfeasible, i, decisions[i].InfeasibleReason)
+	for i := range ana.Decisions {
+		if !ana.Decisions[i].Feasible {
+			return netsim.NetResults{}, fmt.Errorf("%w: link %d: %s", ErrInfeasible, i, ana.Decisions[i].InfeasibleReason)
 		}
 	}
 
-	rate := opts.InjectionRateBitsPerSec
-	if rate == 0 {
-		// Adopt the analytic default operating point: half the saturation
-		// injection rate of this exact decision set.
-		agg, err := noc.Aggregate(g.net, decisions, evalOpts)
-		if err != nil {
-			return netsim.NetResults{}, fmt.Errorf("%w: %v", ErrInvalidInput, err)
-		}
-		rate = agg.InjectionRateBitsPerSec
-	}
-
+	// The analytic result is evaluated at the requested rate, or — for a
+	// zero rate — at half the saturation rate of this exact decision set,
+	// the default operating point the simulation adopts too.
 	res, err := netsim.RunNetwork(ctx, netsim.NetConfig{
-		Net:                     g.net,
-		Decisions:               decisions,
+		Net:                     net,
+		Decisions:               ana.Decisions,
 		Traffic:                 opts.Traffic,
 		MessageBits:             opts.MessageBits,
-		InjectionRateBitsPerSec: rate,
+		InjectionRateBitsPerSec: ana.InjectionRateBitsPerSec,
 		Messages:                opts.Messages,
 		Seed:                    opts.Seed,
 		MaxQueueDepth:           opts.MaxQueueDepth,

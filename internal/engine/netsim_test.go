@@ -86,8 +86,8 @@ func TestNetworkDESCrossValidatesAnalytic(t *testing.T) {
 
 // TestSimulateNetworkDeterministicAcrossWorkers is the determinism half of
 // the acceptance criteria: a fixed seed produces bit-identical results —
-// event counts, percentiles, energy — at Workers = 1, 2, 4 (the lattice
-// solves fan out differently, the sequential simulation must not care), and
+// event counts, percentiles, energy — at Workers = 1, 2, 4 (the worker
+// count must not reach the sequential simulation), and
 // repeated runs on one engine are bit-identical too. The -race run of this
 // test is the race-cleanliness check.
 func TestSimulateNetworkDeterministicAcrossWorkers(t *testing.T) {
@@ -126,9 +126,10 @@ func TestSimulateNetworkDeterministicAcrossWorkers(t *testing.T) {
 
 // TestSimulateNetworkDecisionsMatchDecide pins the decision-identity
 // acceptance criterion: the scheme/DAC decisions the simulator runs on are
-// bit-identical to noc.Decide's — byte for byte, quantized laser power and
-// DAC code included — because they ARE noc.Decide's output, solved through
-// the engine's shared LRU.
+// bit-identical to the analytic Network's — byte for byte, quantized laser
+// power and DAC code included — and to the from-scratch reference's
+// Decide, because both engine paths take them from the same session
+// evaluation.
 func TestSimulateNetworkDecisionsMatchDecide(t *testing.T) {
 	e := newNetEngine(t, ecc.PaperSchemes())
 	topo := noc.Config{Kind: noc.Mesh, Tiles: 16}
@@ -148,7 +149,11 @@ func TestSimulateNetworkDecisionsMatchDecide(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(sim.Decisions, ana.Decisions) {
-		t.Fatal("simulator decisions differ from noc.Decide's")
+		t.Fatal("simulator decisions differ from the analytic Network's")
+	}
+	want := newColdReference(t, ecc.PaperSchemes()).evaluate(NetworkCandidate{Topology: topo, Opts: evalOpts})
+	if !reflect.DeepEqual(sim.Decisions, want.Decisions) {
+		t.Fatal("simulator decisions differ from the from-scratch reference's")
 	}
 	for i := range sim.Decisions {
 		if sim.Decisions[i].DACCode < 0 {

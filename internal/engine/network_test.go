@@ -214,6 +214,37 @@ func TestNetworkSharesCacheWithSingleLinkSweeps(t *testing.T) {
 	}
 }
 
+// TestNetworkRepeatsGoThroughCache: Network runs on pooled sessions but
+// drops their previous candidate first, so repeating one evaluation is
+// served by the memo cache — every cell a hit, none a session reuse — and
+// a Network loop keeps timing cache lookups, not session diffs.
+func TestNetworkRepeatsGoThroughCache(t *testing.T) {
+	codes := ecc.PaperSchemes()
+	e := newNetEngine(t, codes, WithWorkers(1))
+	topo := noc.Config{Kind: noc.Crossbar, Tiles: 16}
+	opts := noc.EvalOptions{TargetBER: 1e-11, Objective: manager.MinEnergy}
+	if _, err := e.Network(context.Background(), topo, opts); err != nil {
+		t.Fatal(err)
+	}
+	warm := e.CacheStats()
+	const reps = 3
+	for i := 0; i < reps; i++ {
+		if _, err := e.Network(context.Background(), topo, opts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stats := e.CacheStats()
+	if stats.SessionReuses != 0 {
+		t.Errorf("SessionReuses = %d after a Network loop, want 0", stats.SessionReuses)
+	}
+	if stats.ColdSolves != warm.ColdSolves {
+		t.Errorf("repeats ran %d cold solves, want 0", stats.ColdSolves-warm.ColdSolves)
+	}
+	if got, want := stats.Hits-warm.Hits, uint64(reps*16*len(codes)); got != want {
+		t.Errorf("repeats hit the cache %d times, want %d", got, want)
+	}
+}
+
 // TestNetworkSweepStreamOrderAndParity: the stream yields every BER in grid
 // order with results identical to the batch sweep.
 func TestNetworkSweepStreamOrderAndParity(t *testing.T) {

@@ -19,10 +19,12 @@ type NetworkCandidate struct {
 	Opts     noc.EvalOptions
 }
 
-// NetworkSession is the incremental, allocation-free network evaluator the
-// autotuner workload runs on. It wraps a noc.EvalSession with the solve
-// lattice of the previous candidate, and on each Evaluate diffs the new
-// candidate against it by per-link configuration fingerprint: a link whose
+// NetworkSession is the engine's one network evaluator: Network,
+// NetworkSweep[Stream], NetworkBatch[Stream], SimulateNetwork and the
+// autotuner all evaluate candidates on pooled sessions. It is incremental
+// and allocation-free in steady state: it wraps a noc.EvalSession with the
+// solve lattice of the previous candidate, and on each Evaluate diffs the
+// new candidate against it by per-link configuration fingerprint: a link whose
 // fingerprint appeared in the previous candidate (same roster, same target
 // BER) reuses that candidate's solved evaluations outright — no pipeline,
 // no memo-cache lookup — and only the changed (link, scheme, BER) cells
@@ -33,9 +35,9 @@ type NetworkCandidate struct {
 //
 // A session is NOT safe for concurrent use, and the Result returned by
 // Evaluate aliases session-owned storage — it is valid only until the next
-// Evaluate call (Clone it to keep it). Engine.NetworkBatch drives one
-// pooled session per worker and clones every result, which is the
-// concurrency-safe entry point.
+// Evaluate call (Clone it to keep it). The Engine entry points take a pooled
+// session per call (NetworkBatch: per worker) and clone every result they
+// hand out, so they are safe for concurrent use.
 type NetworkSession struct {
 	e    *Engine
 	eval *noc.EvalSession

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -92,45 +93,56 @@ func candidateChain(codes []ecc.Code, n int, seed int64) []NetworkCandidate {
 	return out
 }
 
-// coldReference evaluates one candidate from scratch on a cache-disabled
-// single-worker engine: every link is re-solved through the full compiled
-// pipeline, with no memoization and no session. Engines are keyed by
-// roster since an Engine's roster is fixed at construction.
+// coldReference evaluates candidates from scratch, outside every engine
+// path under test: it builds the network, compiles each link's
+// configuration, solves every (link, scheme) cell with Compiled.Evaluate —
+// no memo cache, no session, no worker pool — and decides and aggregates on
+// a fresh noc.EvalSession. A nil candidate roster means codes.
 type coldReference struct {
-	t       *testing.T
-	codes   []ecc.Code
-	engines map[string]*Engine
+	t     *testing.T
+	codes []ecc.Code
 }
 
 func newColdReference(t *testing.T, codes []ecc.Code) *coldReference {
-	return &coldReference{t: t, codes: codes, engines: make(map[string]*Engine)}
-}
-
-func (c *coldReference) engineFor(schemes []ecc.Code) *Engine {
-	if schemes == nil {
-		schemes = c.codes
-	}
-	key := ""
-	for _, code := range schemes {
-		key += code.Name() + "|"
-	}
-	if e, ok := c.engines[key]; ok {
-		return e
-	}
-	e, err := New(WithConfig(core.DefaultConfig()), WithSchemes(schemes...), WithWorkers(1), WithCache(0))
-	if err != nil {
-		c.t.Fatal(err)
-	}
-	c.engines[key] = e
-	return e
+	return &coldReference{t: t, codes: codes}
 }
 
 func (c *coldReference) evaluate(cand NetworkCandidate) noc.Result {
-	res, err := c.engineFor(cand.Schemes).Network(context.Background(), cand.Topology, cand.Opts)
+	c.t.Helper()
+	topo, schemes := cand.Topology, cand.Schemes
+	if reflect.ValueOf(topo.Base).IsZero() {
+		topo.Base = core.DefaultConfig()
+	}
+	if schemes == nil {
+		schemes = c.codes
+	}
+	net, err := noc.Build(topo)
 	if err != nil {
 		c.t.Fatal(err)
 	}
-	return res
+	evals := make([][]core.Evaluation, net.NumLinks())
+	for l, link := range net.Links() {
+		compiled, err := link.Config.Compile()
+		if err != nil {
+			c.t.Fatal(err)
+		}
+		evals[l] = make([]core.Evaluation, len(schemes))
+		for si, code := range schemes {
+			if evals[l][si], err = compiled.Evaluate(code, cand.Opts.TargetBER); err != nil {
+				c.t.Fatal(err)
+			}
+		}
+	}
+	sess := noc.NewEvalSession()
+	decisions, err := sess.Decide(net, evals, cand.Opts)
+	if err != nil {
+		c.t.Fatal(err)
+	}
+	res, err := sess.Aggregate(net, decisions, cand.Opts)
+	if err != nil {
+		c.t.Fatal(err)
+	}
+	return res.Clone()
 }
 
 // TestNetworkSessionMatchesColdEvaluation is the incremental-vs-cold
@@ -158,10 +170,13 @@ func TestNetworkSessionMatchesColdEvaluation(t *testing.T) {
 	}
 }
 
-// TestNetworkBatchMatchesColdAndIsDeterministic: NetworkBatch over the
-// mutation chain equals the cold per-candidate reference, identically at
-// Workers = 1, 2, 4 (the -race run of this test is the race-cleanliness
-// half of the property).
+// TestNetworkBatchMatchesColdAndIsDeterministic: every engine entry point
+// that evaluates a network — NetworkBatch over the mutation chain, and
+// Network, NetworkSweep and NetworkSweepStream over bus/ring/mesh/crossbar
+// × 8/12/16 tiles, uniform and hotspot traffic, with and without the paper
+// DAC — equals the from-scratch reference, identically at Workers = 1, 2, 4
+// (the -race run of this test is the race-cleanliness half of the
+// property).
 func TestNetworkBatchMatchesColdAndIsDeterministic(t *testing.T) {
 	codes := ecc.PaperSchemes()
 	cands := candidateChain(codes, 24, 42)
@@ -170,14 +185,74 @@ func TestNetworkBatchMatchesColdAndIsDeterministic(t *testing.T) {
 	for i, cand := range cands {
 		want[i] = ref.evaluate(cand)
 	}
+
+	dac := manager.PaperDAC()
+	type sweepCase struct {
+		topo noc.Config
+		opts noc.EvalOptions
+		want []noc.Result // one per netTestBERs point
+	}
+	var sweeps []sweepCase
+	for _, kind := range []noc.Kind{noc.Bus, noc.Ring, noc.Mesh, noc.Crossbar} {
+		for _, tiles := range []int{8, 12, 16} {
+			for _, opts := range []noc.EvalOptions{
+				{Objective: manager.MinEnergy},
+				{Objective: manager.MinEnergy, Traffic: hotspot(tiles), DAC: &dac},
+			} {
+				sc := sweepCase{topo: noc.Config{Kind: kind, Tiles: tiles}, opts: opts}
+				for _, ber := range netTestBERs {
+					opts.TargetBER = ber
+					sc.want = append(sc.want, ref.evaluate(NetworkCandidate{Topology: sc.topo, Opts: opts}))
+				}
+				sweeps = append(sweeps, sc)
+			}
+		}
+	}
+
+	ctx := context.Background()
 	for _, workers := range []int{1, 2, 4} {
 		e := newNetEngine(t, codes, WithWorkers(workers))
-		got, err := e.NetworkBatch(context.Background(), cands)
+		got, err := e.NetworkBatch(ctx, cands)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("workers=%d: batch results differ from cold reference", workers)
+		}
+
+		for _, sc := range sweeps {
+			name := fmt.Sprintf("workers=%d %s-%d traffic=%v dac=%v", workers, sc.topo.Kind, sc.topo.Tiles, sc.opts.Traffic != nil, sc.opts.DAC != nil)
+			for b, ber := range netTestBERs {
+				opts := sc.opts
+				opts.TargetBER = ber
+				res, err := e.Network(ctx, sc.topo, opts)
+				if err != nil {
+					t.Fatalf("%s: Network: %v", name, err)
+				}
+				if !reflect.DeepEqual(res, sc.want[b]) {
+					t.Fatalf("%s: Network at BER %g differs from cold reference", name, ber)
+				}
+			}
+			swept, err := e.NetworkSweep(ctx, sc.topo, netTestBERs, sc.opts)
+			if err != nil {
+				t.Fatalf("%s: NetworkSweep: %v", name, err)
+			}
+			if !reflect.DeepEqual(swept, sc.want) {
+				t.Fatalf("%s: NetworkSweep differs from cold reference", name)
+			}
+			n := 0
+			for r := range e.NetworkSweepStream(ctx, sc.topo, netTestBERs, sc.opts) {
+				if r.Err != nil {
+					t.Fatalf("%s: stream item %d: %v", name, n, r.Err)
+				}
+				if r.Index != n || !reflect.DeepEqual(r.Result, sc.want[n]) {
+					t.Fatalf("%s: stream item %d (index %d) differs from cold reference", name, n, r.Index)
+				}
+				n++
+			}
+			if n != len(netTestBERs) {
+				t.Fatalf("%s: stream yielded %d items, want %d", name, n, len(netTestBERs))
+			}
 		}
 	}
 }

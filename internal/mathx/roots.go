@@ -111,7 +111,14 @@ func NewtonBisect(fd func(float64) (fx, dfx float64), lo, hi, tol float64) (floa
 		}
 		x = nx
 	}
-	return 0, fmt.Errorf("%w: tolerance %g not reached, final bracket [%g, %g]", ErrNoConverge, tol, lo, hi)
+	// The budget ran out short of tol: near a root where f is only known to
+	// roundoff, guarded Newton steps a little longer than tol can stay on
+	// one side of the root and never shrink the bracket. Finish on the
+	// bracket held with Bisect, which shrinks it on every other step.
+	return Bisect(func(x float64) float64 {
+		fx, _ := fd(x)
+		return fx
+	}, lo, hi, tol)
 }
 
 // SolveMonotone solves f(x) == target for x in [lo, hi], assuming f is

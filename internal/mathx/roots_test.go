@@ -124,6 +124,14 @@ func TestNewtonBisectGuards(t *testing.T) {
 	if err != nil || !ApproxEqual(got, 1, 1e-9) {
 		t.Errorf("-Inf endpoint: got %g, %v", got, err)
 	}
+	// A derivative that keeps every Newton step at 2e-13 — inside the
+	// bracket, longer than tol, always short of the root — spends the
+	// iteration budget without shrinking the bracket toward the root; the
+	// solve must still finish by bisection.
+	got, err = NewtonBisect(func(x float64) (float64, float64) { return x - 1, (x - 1) / 2e-13 }, 0, 5, 1e-13)
+	if err != nil || !ApproxEqual(got, 1, 1e-9) {
+		t.Errorf("stalled Newton steps: got %g, %v", got, err)
+	}
 }
 
 func TestFixedPoint(t *testing.T) {

@@ -12,10 +12,10 @@
 // over the network's routing table, one MWSR server per link serializing
 // transfers at the link's decided capacity, bounded or unbounded per-link
 // queues, and the standing-vs-dynamic energy split. The network simulator
-// takes its per-link scheme/DAC decisions from noc.Decide (the engine
-// layer solves them through its shared LRU), which is what makes its
+// takes its per-link scheme/DAC decisions from noc.EvalSession.Decide (the
+// engine layer solves them through its shared LRU), which is what makes its
 // results directly comparable — decision for decision — with the analytic
-// noc.Aggregate it cross-validates.
+// noc.EvalSession.Aggregate it cross-validates.
 package netsim
 
 import (

@@ -67,6 +67,13 @@ func (o EvalOptions) withDefaults(net *Network) (EvalOptions, error) {
 	return o, nil
 }
 
+// Validate checks the options against a network with the rules Aggregate
+// applies, so a caller can reject a request before solving any link.
+func (o EvalOptions) Validate(net *Network) error {
+	_, err := o.withDefaults(net)
+	return err
+}
+
 // LinkDecision is the chosen operating point of one link.
 type LinkDecision struct {
 	// Link is the link ID.
@@ -86,24 +93,6 @@ type LinkDecision struct {
 	Feasible bool
 	// InfeasibleReason explains an infeasible link.
 	InfeasibleReason string
-}
-
-// Decide picks each link's scheme from its solved roster evaluations.
-// evals[linkID] holds the link's evaluations in roster order, as produced
-// by the engine's per-link fan-out. Selection mirrors the runtime manager:
-// feasible schemes compete under the objective with the manager's
-// tie-breaking, then the optional DAC programs the laser.
-//
-// Decide is the one-shot entry point; it runs on a fresh EvalSession and
-// the returned slice is owned by the caller. Hot loops reuse an
-// EvalSession instead, which performs the identical computation with zero
-// steady-state allocations.
-func Decide(net *Network, evals [][]core.Evaluation, opts EvalOptions) ([]LinkDecision, error) {
-	decisions, err := NewEvalSession().Decide(net, evals, opts)
-	if err != nil {
-		return nil, err
-	}
-	return decisions, nil
 }
 
 // decideLink resolves one link's decision.
@@ -215,20 +204,4 @@ type Result struct {
 	P95LatencySec  float64
 	P99LatencySec  float64
 	MaxLatencySec  float64
-}
-
-// Aggregate folds solved per-link decisions under the traffic matrix into
-// the network-level figures: per-link loads, saturation injection rate
-// (bisection), energy totals and traffic-weighted latency percentiles.
-//
-// Aggregate is the one-shot entry point; it runs on a fresh EvalSession
-// and the returned Result is owned by the caller. Hot loops reuse an
-// EvalSession instead, which performs the identical computation with zero
-// steady-state allocations.
-func Aggregate(net *Network, decisions []LinkDecision, opts EvalOptions) (Result, error) {
-	res, err := NewEvalSession().Aggregate(net, decisions, opts)
-	if err != nil {
-		return Result{}, err
-	}
-	return *res, nil
 }

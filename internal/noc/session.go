@@ -9,21 +9,20 @@ import (
 	"photonoc/internal/mathx"
 )
 
-// EvalSession is the reusable scratch space of the candidate-evaluation
-// fast path: link-count-sized share/capacity/load tables, the per-link
-// decision slice, the latency pair buffer and the scheme-use map, all
-// recycled across evaluations so a steady-state Decide + Aggregate over a
-// fixed topology shape allocates nothing. The design-space autotuner
-// workload — millions of neighboring candidates over a handful of topology
-// shapes — runs entirely through sessions (engine.NetworkSession wraps one
-// per worker).
+// EvalSession is the network evaluator's decide-and-aggregate pass, with
+// its scratch space: link-count-sized share/capacity/load tables, the
+// per-link decision slice, the latency pair buffer and the scheme-use map,
+// all recycled across evaluations so a steady-state Decide + Aggregate over
+// a fixed topology shape allocates nothing. Every network evaluation runs
+// through a session — engine.NetworkSession wraps one, and the engine's
+// Network, NetworkSweep, NetworkBatch, SimulateNetwork and the autotuner
+// all evaluate on pooled NetworkSessions. A one-shot caller uses a fresh
+// NewEvalSession.
 //
 // A session is NOT safe for concurrent use, and the Result returned by
 // Aggregate aliases session-owned storage (Decisions, Loads, SchemeUse):
 // it is valid only until the session's next call. Callers that need the
-// result to outlive the session copy it with Result.Clone. The package
-// level Decide and Aggregate remain the one-shot entry points; they run on
-// a fresh session per call and are bit-identical to the session path.
+// result to outlive the session copy it with Result.Clone.
 type EvalSession struct {
 	decisions []LinkDecision
 	shares    []float64
@@ -84,10 +83,12 @@ func (s *EvalSession) withDefaults(o EvalOptions, net *Network) (EvalOptions, er
 	return o.withDefaults(net)
 }
 
-// Decide picks each link's scheme from its solved roster evaluations,
-// exactly like the package-level Decide, writing into the session's
-// decision buffer. The returned slice is valid until the session's next
-// Decide call.
+// Decide picks each link's scheme from its solved roster evaluations.
+// evals[linkID] holds the link's evaluations in roster order. Selection
+// mirrors the runtime manager: feasible schemes compete under the
+// objective with the manager's tie-breaking, then the optional DAC
+// programs the laser. The decisions are written into the session's buffer;
+// the returned slice is valid until the session's next Decide call.
 func (s *EvalSession) Decide(net *Network, evals [][]core.Evaluation, opts EvalOptions) ([]LinkDecision, error) {
 	if len(evals) != net.NumLinks() {
 		return nil, fmt.Errorf("noc: %d evaluation rows for %d links", len(evals), net.NumLinks())
@@ -100,10 +101,10 @@ func (s *EvalSession) Decide(net *Network, evals [][]core.Evaluation, opts EvalO
 }
 
 // Aggregate folds solved per-link decisions under the traffic matrix into
-// the network-level figures, exactly like the package-level Aggregate but
-// on session-owned storage. The returned Result aliases the session
-// (Decisions, Loads, SchemeUse) and is valid until the next session call;
-// use Result.Clone to detach it.
+// the network-level figures: per-link loads, saturation injection rate
+// (bisection), energy totals and traffic-weighted latency percentiles. The
+// returned Result aliases the session (Decisions, Loads, SchemeUse) and is
+// valid until the next session call; use Result.Clone to detach it.
 func (s *EvalSession) Aggregate(net *Network, decisions []LinkDecision, opts EvalOptions) (*Result, error) {
 	opts, err := s.withDefaults(opts, net)
 	if err != nil {

@@ -7,10 +7,11 @@ import (
 )
 
 // Network-layer types: full topologies of ChannelSpec-backed links with
-// wavelength allocation, routing and a parallel network evaluator. Build a
-// topology with Engine.BuildNetwork (or BuildNoC) and evaluate it with the
-// promoted Engine.Network / Engine.NetworkSweep / Engine.NetworkSweepStream
-// entry points.
+// wavelength allocation, routing and a session-based network evaluator.
+// Build a topology with Engine.BuildNetwork (or BuildNoC) and evaluate it
+// with the promoted Engine.Network / Engine.NetworkSweep /
+// Engine.NetworkSweepStream entry points, which all run on the same
+// NoCSession evaluation as Engine.NetworkBatch.
 type (
 	// NoCConfig describes a network topology to build: the family, the
 	// tile count and the prototype link configuration (a zero Base adopts
