@@ -39,7 +39,7 @@ type BenchReport struct {
 type BenchMetric struct {
 	// Name identifies the metric: cold_sweep, warm_sweep, fer_inversion,
 	// monte_carlo_block, mc_throughput, mc_scalar_throughput, noc_eval,
-	// noc_batch, noc_batch_cold, noc_tune, service_warm_qps.
+	// noc_batch, noc_batch_cold, noc_tune, net_des, service_warm_qps.
 	Name string `json:"name"`
 	// NsPerOp is wall nanoseconds per operation.
 	NsPerOp float64 `json:"ns_per_op"`
@@ -65,6 +65,10 @@ type BenchMetric struct {
 	// deterministic, so a changed front size is a behavior change, not
 	// noise.
 	FrontSize int `json:"front_size,omitempty"`
+	// MessagesPerSec is the network discrete-event simulator's throughput
+	// (delivered messages per second of a whole SimulateNetwork call); set
+	// only on the net_des metric.
+	MessagesPerSec float64 `json:"messages_per_sec,omitempty"`
 	// QPS is the closed-loop request throughput against a selfhosted onocd
 	// daemon; set only on the service_warm_qps metric (whose ns_per_op /
 	// p99_ns_per_op carry the p50 / p99 request latency).
@@ -332,6 +336,30 @@ func runBenchJSON(w io.Writer, cfg photonoc.LinkConfig, workers int) error {
 	m = &report.Benchmarks[len(report.Benchmarks)-1]
 	m.CandidatesPerSec = float64(tuneOpts.Particles*tuneOpts.Generations) / m.NsPerOp * 1e9
 	m.FrontSize = tuneFront
+
+	// The network DES (Engine.SimulateNetwork): a uniform 16-tile mesh at
+	// the default half-saturation rate, 100k messages. The decisions are
+	// solved once unmeasured, so the row times the simulator itself.
+	const desMessages = 100_000
+	desTopo := photonoc.NoCConfig{Kind: photonoc.NoCMesh, Tiles: 16}
+	desOpts := photonoc.NoCSimOptions{TargetBER: 1e-11, Objective: photonoc.MinEnergy, Messages: desMessages, Seed: 1}
+	if _, err := batchEng.SimulateNetwork(ctx, desTopo, desOpts); err != nil {
+		return err
+	}
+	measure("net_des", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			res, err := batchEng.SimulateNetwork(ctx, desTopo, desOpts)
+			if err != nil {
+				fail(b, err)
+			}
+			if res.Messages != desMessages {
+				fail(b, fmt.Errorf("net_des: delivered %d of %d messages", res.Messages, desMessages))
+			}
+		}
+	})
+	m = &report.Benchmarks[len(report.Benchmarks)-1]
+	m.MessagesPerSec = desMessages / m.NsPerOp * 1e9
 	if benchErr != nil {
 		return benchErr
 	}

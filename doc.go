@@ -125,7 +125,13 @@
 // decisions come from the same session evaluation Network runs, so they
 // are bit-identical to the analytic Result's; the simulation core is
 // sequential and seeded, so a fixed seed reproduces every count and
-// percentile across runs and across Worker counts.
+// percentile across runs and across Worker counts. The core is a streaming
+// merge: the workload's arrivals are drawn lazily in time order and fed
+// straight into the event loop, and only the later hops of messages in
+// flight wait on its event heap (an arrival beats a later hop on an exact
+// time tie). No trace is held in memory, so a run allocates a few bytes
+// per message — its latency samples — and costs O(log in-flight) per event
+// rather than O(log messages).
 //
 //	sim, err := eng.SimulateNetwork(ctx, topo, photonoc.NoCSimOptions{
 //		TargetBER: 1e-11, Objective: photonoc.MinEnergy,
@@ -241,7 +247,8 @@
 //   - internal/netsim     — discrete-event traffic simulators: the single
 //     calibrated link with its per-transfer manager (the paper's
 //     future-work evaluation) and the whole-network simulator that
-//     cross-validates the analytic aggregates (Engine.SimulateNetwork)
+//     cross-validates the analytic aggregates (Engine.SimulateNetwork),
+//     a streaming merge of the arrival stream with the in-flight hops
 //   - internal/noc        — network-scale topologies (bus, crossbar, ring,
 //     mesh): wavelength allocation, routing, traffic-matrix aggregation
 //     (the machinery behind Engine.Network / NetworkSweep)

@@ -4,12 +4,18 @@ package netsim
 // ordering ("strictly earlier than").
 type heapItem[E any] interface{ before(E) bool }
 
-// simHeap is the typed min-heap shared by the trace generator
-// (arrivalEvent) and the network discrete-event simulator (netEvent). The
-// sift algorithm mirrors container/heap exactly — so pop order, including
-// ties under the element's ordering, is unchanged from the historical
-// per-type heaps — but push takes the concrete type: no per-event
-// interface boxing allocation in the event hot loops.
+// simHeap is the typed min-heap shared by the workload generators
+// (arrival: each source's next message) and the network discrete-event
+// simulator (netEvent). The sift algorithm mirrors container/heap exactly —
+// so pop order, including ties under the element's ordering, is unchanged
+// from the historical per-type heaps — but push takes the concrete type: no
+// per-event interface boxing allocation in the event hot loops.
+//
+// The simulator's heap holds only the hops after a message's first: it
+// merges them with the time-ordered arrival stream, and on an exact time
+// tie the stream's arrival runs first (see RunNetworkTrace). So the heap
+// stays as small as the number of messages between hops, not the length of
+// the trace.
 type simHeap[E heapItem[E]] []E
 
 func (h *simHeap[E]) push(ev E) {

@@ -11,10 +11,14 @@
 // Poisson injection sampled from a traffic matrix, XY multi-hop forwarding
 // over the network's routing table, one MWSR server per link serializing
 // transfers at the link's decided capacity, bounded or unbounded per-link
-// queues, and the standing-vs-dynamic energy split. The network simulator
-// takes its per-link scheme/DAC decisions from noc.EvalSession.Decide (the
-// engine layer solves them through its shared LRU), which is what makes its
-// results directly comparable — decision for decision — with the analytic
+// queues, and the standing-vs-dynamic energy split. Its event loop merges
+// the time-ordered arrival stream (drawn lazily by RunNetwork, read from
+// the trace by RunNetworkTrace) with a heap of the later hops of messages
+// in flight, so RunNetwork holds no trace and neither entry point keeps a
+// per-message table. The network simulator takes its per-link scheme/DAC
+// decisions from noc.EvalSession.Decide (the engine layer solves them
+// through its shared LRU), which is what makes its results directly
+// comparable — decision for decision — with the analytic
 // noc.EvalSession.Aggregate it cross-validates.
 package netsim
 

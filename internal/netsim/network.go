@@ -175,14 +175,17 @@ type NetResults struct {
 	PerLink []NetLinkStats
 }
 
-// netEvent is one message arrival at a link (or at its final reader).
-// seq breaks exact time ties first-scheduled-first-served, which pins the
-// event order — and with it every statistic — for a fixed seed.
+// netEvent is a message's arrival at a hop after its first (at a later
+// link of its route). Only these sit on the simulator's event heap; the
+// hop-0 arrivals come straight from the arrival stream. seq numbers the
+// events in schedule order and breaks exact time ties
+// first-scheduled-first-served, which pins the event order — and with it
+// every statistic — for a fixed seed.
 type netEvent struct {
-	at  float64
-	seq uint64
-	msg int32 // index into the run's message table
-	hop int16 // position in the message's route
+	at   float64
+	seq  uint64
+	slot int32 // the message's in-flight slot
+	hop  int16 // position in the message's route, ≥ 1
 }
 
 // before orders hop arrivals by (time, schedule sequence).
@@ -193,93 +196,130 @@ func (e netEvent) before(o netEvent) bool {
 	return e.seq < o.seq
 }
 
-// RecordNetworkTrace generates the arrival stream the configured workload
-// would produce — per-source Poisson processes at the configured injection
-// rate, destinations drawn from the traffic matrix — without simulating the
-// network. RunNetwork is exactly this followed by RunNetworkTrace, so
-// recorded traces replay to identical results.
-func RecordNetworkTrace(ctx context.Context, cfg NetConfig) (Trace, error) {
-	cfg, err := cfg.withDefaults()
-	if err != nil {
-		return nil, err
-	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	tiles := cfg.Net.Tiles()
-	srcRate := cfg.InjectionRateBitsPerSec / float64(cfg.MessageBits)
+// netArrivals is the lazy arrival stream of a configured network workload:
+// per-source Poisson processes at the configured injection rate,
+// destinations drawn from the traffic matrix, merged in time order through
+// a heap that holds each active source's next arrival.
+type netArrivals struct {
+	rng     *rand.Rand
+	srcRate float64
+	bits    int
+	cdfs    []destCDF
+	pending simHeap[arrival]
+	left    int // messages still to emit
+}
 
-	// Per-source cumulative destination distributions, diagonal excluded.
-	type cdf struct {
-		cum []float64 // cumulative weight over dsts
-		dst []int
+// destCDF is one source's cumulative destination distribution, diagonal
+// excluded.
+type destCDF struct {
+	cum []float64 // cumulative weight over dst
+	dst []int32
+}
+
+// newNetArrivals seeds the stream of a configuration that has been through
+// withDefaults: it draws every active source's first arrival.
+func newNetArrivals(cfg NetConfig) (*netArrivals, error) {
+	tiles := cfg.Net.Tiles()
+	g := &netArrivals{
+		rng:     rand.New(rand.NewSource(cfg.Seed)),
+		srcRate: cfg.InjectionRateBitsPerSec / float64(cfg.MessageBits),
+		bits:    cfg.MessageBits,
+		cdfs:    make([]destCDF, tiles),
+		pending: make(simHeap[arrival], 0, tiles),
+		left:    cfg.Messages,
 	}
-	cdfs := make([]cdf, tiles)
 	for s := 0; s < tiles; s++ {
-		var c cdf
+		c := &g.cdfs[s]
 		total := 0.0
 		for d := 0; d < tiles; d++ {
 			if w := cfg.Traffic[s][d]; w > 0 && d != s {
 				total += w
 				c.cum = append(c.cum, total)
-				c.dst = append(c.dst, d)
+				c.dst = append(c.dst, int32(d))
 			}
 		}
-		cdfs[s] = c
 	}
-
-	pick := func(s int) int {
-		c := &cdfs[s]
-		r := rng.Float64() * c.cum[len(c.cum)-1]
-		i := sort.SearchFloat64s(c.cum, r)
-		if i == len(c.dst) { // r landed exactly on the total
-			i--
-		}
-		return c.dst[i]
-	}
-
-	events := make(eventHeap, 0, tiles)
 	for s := 0; s < tiles; s++ {
-		if len(cdfs[s].dst) == 0 {
+		if len(g.cdfs[s].dst) == 0 {
 			continue // silent source
 		}
-		at := rng.ExpFloat64() / srcRate
-		events.push(arrivalEvent{at: at, msg: message{src: s, dst: pick(s), arrival: at, bits: cfg.MessageBits}})
+		at := g.rng.ExpFloat64() / g.srcRate
+		g.pending.push(arrival{at: at, src: int32(s), dst: g.pick(s)})
 	}
-	if len(events) == 0 {
+	if len(g.pending) == 0 {
 		return nil, fmt.Errorf("netsim: traffic matrix has no active source")
 	}
+	return g, nil
+}
+
+// pick draws source s's next destination.
+func (g *netArrivals) pick(s int) int32 {
+	c := &g.cdfs[s]
+	r := g.rng.Float64() * c.cum[len(c.cum)-1]
+	i := sort.SearchFloat64s(c.cum, r)
+	if i == len(c.dst) { // r landed exactly on the total
+		i--
+	}
+	return c.dst[i]
+}
+
+// next emits the workload's next arrival in time order (drawing the
+// emitting source's successor), or ok=false once cfg.Messages are out.
+func (g *netArrivals) next() (ev TraceEvent, ok bool) {
+	if g.left == 0 {
+		return TraceEvent{}, false
+	}
+	g.left--
+	a := g.pending.pop()
+	at := a.at + g.rng.ExpFloat64()/g.srcRate
+	g.pending.push(arrival{at: at, src: a.src, dst: g.pick(int(a.src))})
+	return TraceEvent{TimeSec: a.at, Src: int(a.src), Dst: int(a.dst), Bits: g.bits}, true
+}
+
+// RecordNetworkTrace generates the arrival stream the configured workload
+// would produce — per-source Poisson processes at the configured injection
+// rate, destinations drawn from the traffic matrix — without simulating the
+// network. RunNetwork simulates exactly this stream (it draws it lazily
+// instead of recording it), so recorded traces replay to identical results.
+func RecordNetworkTrace(ctx context.Context, cfg NetConfig) (Trace, error) {
+	cfg, err := cfg.withDefaults()
+	if err != nil {
+		return nil, err
+	}
+	g, err := newNetArrivals(cfg)
+	if err != nil {
+		return nil, err
+	}
 	tr := make(Trace, 0, cfg.Messages)
-	for len(events) > 0 && len(tr) < cfg.Messages {
+	for {
 		if len(tr)%4096 == 0 {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
 		}
-		ev := events.pop()
-		s := ev.msg.src
-		at := ev.at + rng.ExpFloat64()/srcRate
-		events.push(arrivalEvent{at: at, msg: message{src: s, dst: pick(s), arrival: at, bits: cfg.MessageBits}})
-		tr = append(tr, TraceEvent{TimeSec: ev.msg.arrival, Src: ev.msg.src, Dst: ev.msg.dst, Bits: ev.msg.bits})
+		ev, ok := g.next()
+		if !ok {
+			return tr, nil
+		}
+		tr = append(tr, ev)
 	}
-	// No re-sort needed: the heap pops arrivals in chronological order.
-	return tr, nil
 }
 
-// RunNetwork generates the configured workload and simulates it. It is
-// exactly RecordNetworkTrace followed by RunNetworkTrace.
+// RunNetwork generates the configured workload and simulates it. The
+// arrivals are drawn lazily as the simulation consumes them, so no trace is
+// held in memory; the results are exactly those of RecordNetworkTrace
+// followed by RunNetworkTrace (the simulation itself draws no random
+// numbers, so interleaving it with generation leaves the draws in order).
 func RunNetwork(ctx context.Context, cfg NetConfig) (NetResults, error) {
-	tr, err := RecordNetworkTrace(ctx, cfg)
+	cfg, err := cfg.withDefaults()
 	if err != nil {
 		return NetResults{}, err
 	}
-	return RunNetworkTrace(ctx, cfg, tr)
-}
-
-// netMsg is one in-flight network message of a simulation run.
-type netMsg struct {
-	injected float64
-	waited   float64 // accumulated queue wait across hops
-	src, dst int32
-	bits     int
+	g, err := newNetArrivals(cfg)
+	if err != nil {
+		return NetResults{}, err
+	}
+	return simulateNetwork(ctx, cfg, cfg.Messages, g.next)
 }
 
 // RunNetworkTrace replays a message trace through the network: every
@@ -292,15 +332,44 @@ type netMsg struct {
 // analytic aggregates assume — that is what makes the two comparable
 // statistic for statistic. The run is single-threaded and seeded, hence
 // bit-identical across repetitions regardless of who solved the decisions.
+//
+// The simulation is a streaming merge. Hop-0 arrivals are read in order
+// straight from the time-ordered trace; only the later hops of messages in
+// flight wait on the event heap. Events run in (time, sequence) order,
+// where a hop-0 arrival's sequence number is its trace index and later hops
+// are numbered after the whole trace in the order they are scheduled — so
+// on an exact time tie a trace arrival runs before a later hop, and two
+// later hops run in the order they were scheduled.
 func RunNetworkTrace(ctx context.Context, cfg NetConfig, tr Trace) (NetResults, error) {
 	cfg, err := cfg.validateSim()
 	if err != nil {
 		return NetResults{}, err
 	}
+	i := 0
+	return simulateNetwork(ctx, cfg, len(tr), func() (TraceEvent, bool) {
+		if i == len(tr) {
+			return TraceEvent{}, false
+		}
+		i++
+		return tr[i-1], true
+	})
+}
+
+// netMsg is the state of a message between hops: only multi-hop messages
+// that have left their first link hold one, in a reused slot.
+type netMsg struct {
+	injected float64
+	waited   float64 // accumulated queue wait across hops
+	src, dst int32
+	bits     int
+}
+
+// simulateNetwork is the DES core of RunNetwork and RunNetworkTrace. next
+// yields the hop-0 arrivals; each is held to Trace.Validate's rules as it
+// is read, so a bad trace fails with the error Validate would give. n is
+// the expected number of arrivals, a capacity hint.
+func simulateNetwork(ctx context.Context, cfg NetConfig, n int, next func() (TraceEvent, bool)) (NetResults, error) {
 	tiles := cfg.Net.Tiles()
-	if err := tr.Validate(tiles); err != nil {
-		return NetResults{}, err
-	}
 
 	// Route table and per-link derived constants, resolved once.
 	routes := make([][][]int, tiles)
@@ -310,18 +379,19 @@ func RunNetworkTrace(ctx context.Context, cfg NetConfig, tr Trace) (NetResults, 
 			if s == d {
 				continue
 			}
+			var err error
 			if routes[s][d], err = cfg.Net.Route(s, d); err != nil {
 				return NetResults{}, err
 			}
 		}
 	}
-	links := cfg.Net.Links()
-	nLinks := len(links)
+	nLinks := cfg.Net.NumLinks()
 	perBit := make([]float64, nLinks) // serialization seconds per payload bit
 	prop := make([]float64, nLinks)
-	for i := range links {
-		perBit[i] = 1 / links[i].CapacityBitsPerSec(cfg.Decisions[i].Eval.CT)
-		prop[i] = links[i].PropagationDelaySec()
+	for i := 0; i < nLinks; i++ {
+		l := cfg.Net.LinkRef(i)
+		perBit[i] = 1 / l.CapacityBitsPerSec(cfg.Decisions[i].Eval.CT)
+		prop[i] = l.PropagationDelaySec()
 	}
 
 	// Per-link server state.
@@ -337,17 +407,7 @@ func RunNetworkTrace(ctx context.Context, cfg NetConfig, tr Trace) (NetResults, 
 	departed := make([][]float64, nLinks)
 	head := make([]int, nLinks)
 
-	msgs := make([]netMsg, len(tr))
-	var events simHeap[netEvent]
-	var seq uint64
-	for i, ev := range tr {
-		msgs[i] = netMsg{injected: ev.TimeSec, src: int32(ev.Src), dst: int32(ev.Dst), bits: ev.Bits}
-		events.push(netEvent{at: ev.TimeSec, seq: seq, msg: int32(i), hop: 0})
-		seq++
-	}
-
 	res := NetResults{
-		Injected:  int64(len(tr)),
 		SchemeUse: make(map[string]int, len(cfg.Decisions)),
 		Decisions: append([]noc.LinkDecision(nil), cfg.Decisions...),
 	}
@@ -355,50 +415,97 @@ func RunNetworkTrace(ctx context.Context, cfg NetConfig, tr Trace) (NetResults, 
 		res.SchemeUse[cfg.Decisions[i].Eval.Code.Name()]++
 	}
 
-	latencies := make([]float64, 0, len(tr))
+	// The merge: arr is the stream's next hop-0 arrival (valid while more),
+	// events the later hops in flight, slots their messages' state (free
+	// lists the reusable slots).
+	var (
+		events simHeap[netEvent]
+		seq    uint64
+		slots  []netMsg
+		free   []int32
+		first  netMsg // the hop-0 message being served
+		prevAt float64
+	)
+	arr, more := next()
+	if more {
+		if err := arr.check(0, 0, tiles); err != nil {
+			return NetResults{}, err
+		}
+	}
+
+	latencies := make([]float64, 0, n)
 	var hopSum int64
 	var queueWaitTotal float64
 	processed := 0
-	for len(events) > 0 {
+	for more || len(events) > 0 {
 		if processed%4096 == 0 {
 			if err := ctx.Err(); err != nil {
 				return NetResults{}, err
 			}
 		}
 		processed++
-		ev := events.pop()
-		m := &msgs[ev.msg]
+
+		var (
+			at   float64
+			hop  int
+			slot int32 = -1
+			m    *netMsg
+		)
+		if more && (len(events) == 0 || arr.TimeSec <= events[0].at) {
+			// A stream arrival wins ties: its sequence number (its trace
+			// index) precedes every later hop's.
+			first = netMsg{injected: arr.TimeSec, src: int32(arr.Src), dst: int32(arr.Dst), bits: arr.Bits}
+			m, at = &first, arr.TimeSec
+			res.Injected++
+			prevAt = arr.TimeSec
+			if arr, more = next(); more {
+				if err := arr.check(int(res.Injected), prevAt, tiles); err != nil {
+					return NetResults{}, err
+				}
+			}
+		} else {
+			ev := events.pop()
+			slot, hop, at = ev.slot, int(ev.hop), ev.at
+			m = &slots[slot]
+		}
 		route := routes[m.src][m.dst]
-		l := route[ev.hop]
+		l := route[hop]
 
 		// Drop the expired occupants, then test the buffer bound.
 		dep := departed[l]
-		for head[l] < len(dep) && dep[head[l]] <= ev.at {
+		for head[l] < len(dep) && dep[head[l]] <= at {
 			head[l]++
 		}
 		occupancy := len(dep) - head[l]
 		if cfg.MaxQueueDepth > 0 && occupancy >= cfg.MaxQueueDepth {
 			drops[l]++
 			res.Dropped++
+			if slot >= 0 {
+				free = append(free, slot)
+			}
 			continue
 		}
 		if occupancy+1 > maxDepth[l] {
 			maxDepth[l] = occupancy + 1
 		}
 
-		start := ev.at
+		start := at
 		if nextFree[l] > start {
 			start = nextFree[l]
 		}
 		transfer := float64(m.bits) * perBit[l]
-		wait := start - ev.at
+		wait := start - at
 		nextFree[l] = start + transfer
 		busy[l] += transfer
 		waitSum[l] += wait
 		served[l]++
 		m.waited += wait
-		if head[l] > 4096 && head[l]*2 > len(dep) {
+		if head[l] > 64 && head[l]*2 > len(dep) {
 			// Compact the occupancy FIFO once the dead prefix dominates.
+			// A compaction copies fewer entries than were dequeued since
+			// the last one, so the cost stays amortized O(1) with a small
+			// threshold; a large one would keep thousands of dead entries
+			// per link, most of a run's allocation.
 			departed[l] = append(dep[:0], dep[head[l]:]...)
 			head[l] = 0
 		}
@@ -407,8 +514,18 @@ func RunNetworkTrace(ctx context.Context, cfg NetConfig, tr Trace) (NetResults, 
 		// Token grant and waveguide flight are pipeline latency on the
 		// message's clock, not server occupancy.
 		out := start + transfer + core.TokenOverheadSec + prop[l]
-		if int(ev.hop)+1 < len(route) {
-			events.push(netEvent{at: out, seq: seq, msg: ev.msg, hop: ev.hop + 1})
+		if hop+1 < len(route) {
+			if slot < 0 {
+				// Leaving its first link: the message takes a slot.
+				if k := len(free); k > 0 {
+					slot, free = free[k-1], free[:k-1]
+					slots[slot] = *m
+				} else {
+					slot = int32(len(slots))
+					slots = append(slots, *m)
+				}
+			}
+			events.push(netEvent{at: out, seq: seq, slot: slot, hop: int16(hop + 1)})
 			seq++
 			continue
 		}
@@ -420,6 +537,9 @@ func RunNetworkTrace(ctx context.Context, cfg NetConfig, tr Trace) (NetResults, 
 		latencies = append(latencies, out-m.injected)
 		if out > res.SimTimeSec {
 			res.SimTimeSec = out
+		}
+		if slot >= 0 {
+			free = append(free, slot)
 		}
 	}
 
@@ -439,8 +559,8 @@ func RunNetworkTrace(ctx context.Context, cfg NetConfig, tr Trace) (NetResults, 
 	// modulators and interfaces — noc.EvalSession.Aggregate's model, so
 	// matched utilizations imply matched power.
 	res.PerLink = make([]NetLinkStats, nLinks)
-	for i := range links {
-		l := &links[i]
+	for i := 0; i < nLinks; i++ {
+		l := cfg.Net.LinkRef(i)
 		d := &cfg.Decisions[i]
 		nw := float64(len(l.Lambdas))
 		laserE := d.LaserPowerW * nw * res.SimTimeSec

@@ -15,7 +15,7 @@ import (
 // buildNetwork compiles a topology over the paper configuration and solves
 // its per-link decisions sequentially — the engine-free reference path the
 // simulator tests run on.
-func buildNetwork(t *testing.T, kind noc.Kind, tiles int, ber float64) (*noc.Network, []noc.LinkDecision, noc.EvalOptions) {
+func buildNetwork(t testing.TB, kind noc.Kind, tiles int, ber float64) (*noc.Network, []noc.LinkDecision, noc.EvalOptions) {
 	t.Helper()
 	net, err := noc.Build(noc.Config{Kind: kind, Tiles: tiles, Base: core.DefaultConfig()})
 	if err != nil {
@@ -48,7 +48,7 @@ func buildNetwork(t *testing.T, kind noc.Kind, tiles int, ber float64) (*noc.Net
 
 // saturationRate reads the analytic saturation injection rate of the built
 // decision set.
-func saturationRate(t *testing.T, net *noc.Network, decisions []noc.LinkDecision, opts noc.EvalOptions) float64 {
+func saturationRate(t testing.TB, net *noc.Network, decisions []noc.LinkDecision, opts noc.EvalOptions) float64 {
 	t.Helper()
 	res, err := noc.NewEvalSession().Aggregate(net, decisions, opts)
 	if err != nil {
@@ -58,44 +58,66 @@ func saturationRate(t *testing.T, net *noc.Network, decisions []noc.LinkDecision
 }
 
 // TestRunNetworkReplaysRecordedTrace pins the Run = Record + RunTrace
-// contract: a recorded trace replays to bit-identical results.
+// contract on every kind, with unbounded and bounded queues: RunNetwork
+// streams its workload without recording it, and a recorded trace of the
+// same workload replays to bit-identical results.
 func TestRunNetworkReplaysRecordedTrace(t *testing.T) {
-	net, decisions, opts := buildNetwork(t, noc.Bus, 12, 1e-11)
-	cfg := NetConfig{
-		Net:                     net,
-		Decisions:               decisions,
-		InjectionRateBitsPerSec: 0.4 * saturationRate(t, net, decisions, opts),
-		Messages:                3000,
-		Seed:                    7,
-	}
 	ctx := context.Background()
-	direct, err := RunNetwork(ctx, cfg)
-	if err != nil {
-		t.Fatal(err)
+	var boundedDrops int64
+	for _, kind := range []noc.Kind{noc.Bus, noc.Ring, noc.Mesh, noc.Crossbar} {
+		net, decisions, opts := buildNetwork(t, kind, 12, 1e-11)
+		sat := saturationRate(t, net, decisions, opts)
+		for _, depth := range []int{0, 2} {
+			cfg := NetConfig{
+				Net:                     net,
+				Decisions:               decisions,
+				InjectionRateBitsPerSec: 0.4 * sat,
+				Messages:                3000,
+				Seed:                    7,
+				MaxQueueDepth:           depth,
+			}
+			if depth > 0 {
+				cfg.InjectionRateBitsPerSec = 0.95 * sat // overflow the buffers
+			}
+			direct, err := RunNetwork(ctx, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tr, err := RecordNetworkTrace(ctx, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			replayed, err := RunNetworkTrace(ctx, cfg, tr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(direct, replayed) {
+				t.Fatalf("%v depth %d: trace replay differs from the direct run", kind, depth)
+			}
+			// Replay does not need the workload-generation fields: the
+			// trace carries its own arrival times, destinations and
+			// payload sizes.
+			bare, err := RunNetworkTrace(ctx, NetConfig{Net: net, Decisions: decisions, MaxQueueDepth: depth}, tr)
+			if err != nil {
+				t.Fatalf("%v depth %d: replay with zero generation fields rejected: %v", kind, depth, err)
+			}
+			if !reflect.DeepEqual(direct, bare) {
+				t.Fatalf("%v depth %d: generation-only fields leaked into the replay results", kind, depth)
+			}
+			if direct.Injected != int64(cfg.Messages) || direct.Messages+direct.Dropped != direct.Injected {
+				t.Fatalf("%v depth %d: injected %d, delivered %d, dropped %d of %d messages",
+					kind, depth, direct.Injected, direct.Messages, direct.Dropped, cfg.Messages)
+			}
+			if depth == 0 && direct.Dropped != 0 {
+				t.Fatalf("%v: dropped %d messages with unbounded queues", kind, direct.Dropped)
+			}
+			if depth > 0 {
+				boundedDrops += direct.Dropped
+			}
+		}
 	}
-	tr, err := RecordNetworkTrace(ctx, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	replayed, err := RunNetworkTrace(ctx, cfg, tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(direct, replayed) {
-		t.Fatal("trace replay differs from the direct run")
-	}
-	// Replay does not need the workload-generation fields: the trace
-	// carries its own arrival times, destinations and payload sizes.
-	bare, err := RunNetworkTrace(ctx, NetConfig{Net: net, Decisions: decisions}, tr)
-	if err != nil {
-		t.Fatalf("replay with zero generation fields rejected: %v", err)
-	}
-	if !reflect.DeepEqual(direct, bare) {
-		t.Fatal("generation-only fields leaked into the replay results")
-	}
-	if direct.Messages != int64(cfg.Messages) || direct.Dropped != 0 {
-		t.Fatalf("delivered %d / dropped %d of %d messages with unbounded queues",
-			direct.Messages, direct.Dropped, cfg.Messages)
+	if boundedDrops == 0 {
+		t.Fatal("no bounded-queue run dropped a message: the drop path went unreplayed")
 	}
 }
 

@@ -17,18 +17,18 @@ type message struct {
 	bits     int
 }
 
-// arrivalEvent orders message generation on the event heap.
-type arrivalEvent struct {
-	at  float64
-	msg message
+// arrival is a workload generator's pending next message of one source:
+// 16 bytes, all the generator's heap needs to order the sources. The
+// payload size is the configuration's, and a deadline is a function of the
+// source and the arrival time, so neither rides on the heap.
+type arrival struct {
+	at       float64
+	src, dst int32
 }
 
 // before orders arrivals by time alone; ties keep the heap's (stable,
 // deterministic) layout order, as the historical per-type heap did.
-func (e arrivalEvent) before(o arrivalEvent) bool { return e.at < o.at }
-
-// eventHeap is the trace generator's min-heap on arrival time.
-type eventHeap = simHeap[arrivalEvent]
+func (a arrival) before(o arrival) bool { return a.at < o.at }
 
 // TokenOverheadSec is the fixed MWSR arbitration cost per transfer
 // (token grant + manager request/response round trip). The network-level

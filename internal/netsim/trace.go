@@ -7,7 +7,6 @@ import (
 	"io"
 	"math"
 	"math/rand"
-	"sort"
 
 	"photonoc/internal/core"
 )
@@ -29,31 +28,42 @@ type Trace []TraceEvent
 
 // Validate checks ordering and topology bounds for an n-ONI interconnect.
 func (tr Trace) Validate(n int) error {
+	prev := 0.0
 	for i, ev := range tr {
-		if ev.Src < 0 || ev.Src >= n || ev.Dst < 0 || ev.Dst >= n {
-			return fmt.Errorf("netsim: trace event %d endpoints (%d→%d) outside [0,%d)", i, ev.Src, ev.Dst, n)
+		if err := ev.check(i, prev, n); err != nil {
+			return err
 		}
-		if ev.Src == ev.Dst {
-			return fmt.Errorf("netsim: trace event %d sends to itself", i)
-		}
-		if ev.Bits <= 0 {
-			return fmt.Errorf("netsim: trace event %d has %d bits", i, ev.Bits)
-		}
-		if math.IsNaN(ev.TimeSec) || math.IsInf(ev.TimeSec, 0) || ev.TimeSec < 0 {
-			// A NaN would slip through the ordering comparison below (every
-			// NaN comparison is false), and negative times would collide
-			// with the simulators' t = 0 server anchor (nextFree starts at
-			// zero), charging phantom queue wait — reject both instead of
-			// silently poisoning the statistics.
-			return fmt.Errorf("netsim: trace event %d time %g must be finite and non-negative", i, ev.TimeSec)
-		}
-		if i > 0 && ev.TimeSec < tr[i-1].TimeSec {
-			return fmt.Errorf("netsim: trace not time-ordered at event %d", i)
-		}
-		if ev.DeadlineSec != 0 && !(ev.DeadlineSec >= ev.TimeSec) {
-			// !(≥) instead of (<) so a NaN deadline is rejected too.
-			return fmt.Errorf("netsim: trace event %d deadline precedes arrival (or is NaN)", i)
-		}
+		prev = ev.TimeSec
+	}
+	return nil
+}
+
+// check holds event i of a trace to Validate's rules, given the time of
+// event i-1 (any value ≤ 0 for the first event).
+func (ev TraceEvent) check(i int, prev float64, n int) error {
+	if ev.Src < 0 || ev.Src >= n || ev.Dst < 0 || ev.Dst >= n {
+		return fmt.Errorf("netsim: trace event %d endpoints (%d→%d) outside [0,%d)", i, ev.Src, ev.Dst, n)
+	}
+	if ev.Src == ev.Dst {
+		return fmt.Errorf("netsim: trace event %d sends to itself", i)
+	}
+	if ev.Bits <= 0 {
+		return fmt.Errorf("netsim: trace event %d has %d bits", i, ev.Bits)
+	}
+	if math.IsNaN(ev.TimeSec) || math.IsInf(ev.TimeSec, 0) || ev.TimeSec < 0 {
+		// A NaN would slip through the ordering comparison below (every
+		// NaN comparison is false), and negative times would collide
+		// with the simulators' t = 0 server anchor (nextFree starts at
+		// zero), charging phantom queue wait — reject both instead of
+		// silently poisoning the statistics.
+		return fmt.Errorf("netsim: trace event %d time %g must be finite and non-negative", i, ev.TimeSec)
+	}
+	if ev.TimeSec < prev {
+		return fmt.Errorf("netsim: trace not time-ordered at event %d", i)
+	}
+	if ev.DeadlineSec != 0 && !(ev.DeadlineSec >= ev.TimeSec) {
+		// !(≥) instead of (<) so a NaN deadline is rejected too.
+		return fmt.Errorf("netsim: trace event %d deadline precedes arrival (or is NaN)", i)
 	}
 	return nil
 }
@@ -94,32 +104,29 @@ func RecordTraceCtx(ctx context.Context, cfg Config) (Trace, error) {
 	srcRate := cfg.Load * capacity / float64(cfg.MessageBits)
 	gen := newTrafficGenerator(cfg, rng, srcRate, baseTransfer)
 
-	events := make(eventHeap, 0, topo.ONIs)
+	events := make(simHeap[arrival], 0, topo.ONIs)
 	for s := 0; s < topo.ONIs; s++ {
-		if ev, ok := gen.next(s, 0); ok {
-			events.push(ev)
-		}
+		events.push(gen.next(s, 0))
 	}
 	tr := make(Trace, 0, cfg.Messages)
-	for len(events) > 0 && len(tr) < cfg.Messages {
+	for len(tr) < cfg.Messages {
 		if len(tr)%4096 == 0 {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
 		}
 		ev := events.pop()
-		if nx, ok := gen.next(ev.msg.src, ev.at); ok {
-			events.push(nx)
-		}
+		src := int(ev.src)
+		events.push(gen.next(src, ev.at))
 		tr = append(tr, TraceEvent{
-			TimeSec:     ev.msg.arrival,
-			Src:         ev.msg.src,
-			Dst:         ev.msg.dst,
-			Bits:        ev.msg.bits,
-			DeadlineSec: ev.msg.deadline,
+			TimeSec:     ev.at,
+			Src:         src,
+			Dst:         int(ev.dst),
+			Bits:        cfg.MessageBits,
+			DeadlineSec: gen.deadline(src, ev.at),
 		})
 	}
-	sort.Slice(tr, func(i, j int) bool { return tr[i].TimeSec < tr[j].TimeSec })
+	// No re-sort needed: the heap pops arrivals in time order.
 	return tr, nil
 }
 

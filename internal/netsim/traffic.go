@@ -22,9 +22,8 @@ func newTrafficGenerator(cfg Config, rng *rand.Rand, srcRate, baseTransfer float
 	}
 }
 
-// next returns the source's next arrival after `now`, or ok=false when the
-// source emits nothing (never happens with the current patterns).
-func (g *trafficGenerator) next(src int, now float64) (arrivalEvent, bool) {
+// next draws the source's next arrival after `now`.
+func (g *trafficGenerator) next(src int, now float64) arrival {
 	var at float64
 	switch g.cfg.Pattern {
 	case Streaming:
@@ -38,23 +37,20 @@ func (g *trafficGenerator) next(src int, now float64) (arrivalEvent, bool) {
 	default:
 		at = now + g.rng.ExpFloat64()/g.srcRate
 	}
+	return arrival{at: at, src: int32(src), dst: int32(g.pickDestination(src))}
+}
 
-	dst := g.pickDestination(src)
-	m := message{
-		src:     src,
-		dst:     dst,
-		arrival: at,
-		bits:    g.cfg.MessageBits,
+// deadline is the deadline of src's message arriving at `at` (0 = none).
+func (g *trafficGenerator) deadline(src int, at float64) float64 {
+	if g.cfg.DeadlineSlack <= 0 {
+		return 0
 	}
-	if g.cfg.DeadlineSlack > 0 {
-		slack := g.cfg.DeadlineSlack
-		if g.cfg.Pattern == Streaming && src%2 == 0 {
-			// Streaming flows carry the tight deadlines.
-			slack = max(1.05, slack/2)
-		}
-		m.deadline = at + slack*g.baseTransfer
+	slack := g.cfg.DeadlineSlack
+	if g.cfg.Pattern == Streaming && src%2 == 0 {
+		// Streaming flows carry the tight deadlines.
+		slack = max(1.05, slack/2)
 	}
-	return arrivalEvent{at: at, msg: m}, true
+	return at + slack*g.baseTransfer
 }
 
 // pickDestination applies the pattern's destination distribution.
